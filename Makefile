@@ -48,7 +48,7 @@ snapshot-check:
 # serial-vs-parallel determinism guard, and a byte-level diff of a
 # parallel-runner snapshot against the checked-in baseline.
 bench-smoke:
-	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical|TestCheckedInWallclockValid' -v ./internal/sim/ ./internal/trace/ ./internal/bench/
+	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical|TestCheckedInWallclockValid' -v ./internal/sim/ ./internal/span/ ./internal/bench/
 	$(GO) run ./cmd/offloadbench bench-snapshot -parallel 4 -o .bench_fig13.parallel.json
 	cmp BENCH_fig13.json .bench_fig13.parallel.json
 	rm -f .bench_fig13.parallel.json

@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/bench"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tenant"
 )
@@ -158,7 +159,7 @@ func main() {
 			ds   []sim.Time
 		}{{"pre", pre}, {"post", post}} {
 			fmt.Printf("%-8s %8d %14.2f %14.2f\n", w.name, len(w.ds),
-				bench.Percentile(w.ds, 50).Micros(), bench.Percentile(w.ds, 99).Micros())
+				metrics.Percentile(w.ds, 50).Micros(), metrics.Percentile(w.ds, 99).Micros())
 		}
 		fmt.Printf("re-probe decisions: %d\n", reprobes)
 	case "ialltoall":

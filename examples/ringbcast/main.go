@@ -22,7 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/span"
 )
 
 const (
@@ -87,12 +87,14 @@ func hostMPI() {
 // offload runs cases 2 and 3: the whole ring recorded as one group request
 // per rank and executed by the proxies while the hosts compute.
 func offload(label string, cfg core.Config) {
+	var sc *span.Collector
+	if *traceFlag && cfg.Mechanism == core.MechGVMI {
+		sc = span.New(0)
+	}
 	e := bench.Build(bench.Options{
 		Nodes: nodes, PPN: ppn, Scheme: baseline.NameProposed, Core: &cfg,
+		Spans: sc,
 	})
-	if *traceFlag && cfg.Mechanism == core.MechGVMI {
-		e.Cl.Trace = trace.New(80)
-	}
 	np := e.Cl.Cfg.NP()
 	done := make([]sim.Time, np)
 	e.Launch(func(r *mpi.Rank, _ coll.Ops, _ coll.P2P) {
@@ -117,9 +119,9 @@ func offload(label string, cfg core.Config) {
 		done[me] = r.Now()
 	})
 	report(label, done)
-	if e.Cl.Trace.Enabled() {
+	if sc.Enabled() {
 		fmt.Println("\nprotocol timeline (first events):")
-		if err := e.Cl.Trace.Timeline(os.Stdout); err != nil {
+		if err := sc.WriteTimeline(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "ringbcast: timeline:", err)
 			os.Exit(1)
 		}

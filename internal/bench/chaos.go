@@ -10,7 +10,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ChaosResult is one row of a chaos sweep: the OMB Ialltoall overlap
@@ -24,7 +23,6 @@ type ChaosResult struct {
 	Mismatches int  // corrupted/missing blocks detected (0 when Verified)
 	Fault      fault.Stats
 	Core       core.Stats
-	Trace      *trace.Log
 }
 
 // chaosPattern is the deterministic byte each rank writes: src's block for
@@ -52,7 +50,6 @@ func MeasureChaosIalltoall(opt Options, fcfg *fault.Config, rate float64, msgSiz
 	opt.Backed = true
 
 	e := Build(opt)
-	e.Cl.Trace = trace.New(4096)
 	np := e.Cl.Cfg.NP()
 	pure := make([]sim.Time, np)
 	comp := make([]sim.Time, np)
@@ -130,7 +127,6 @@ func MeasureChaosIalltoall(opt Options, fcfg *fault.Config, rate float64, msgSiz
 		NBCResult: NBCResult{Scheme: opt.Scheme, Nodes: opt.Nodes, PPN: opt.PPN, MsgSize: msgSize},
 		FaultRate: rate,
 		EndTime:   end,
-		Trace:     e.Cl.Trace,
 	}
 	total := 0
 	for i := 0; i < np; i++ {

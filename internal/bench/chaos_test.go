@@ -11,7 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/span"
 )
 
 // Frozen fig13 measurement values for the seed configuration (Proposed,
@@ -107,12 +107,14 @@ func TestChaosSweepAllRatesVerified(t *testing.T) {
 }
 
 // Determinism regression: the same chaos scenario run twice with the same
-// seed produces identical traces and identical end times.
+// seed produces identical span records (fault instants included) and
+// identical end times.
 func TestChaosRunsAreDeterministic(t *testing.T) {
-	run := func() ChaosResult {
-		return MeasureChaosIalltoall(guardOpt(), fault.Scaled(7, 1e-2), 1e-2, 8192, 1, 2)
+	run := func() (*span.Collector, ChaosResult) {
+		return CollectChaosSpans(guardOpt(), fault.Scaled(7, 1e-2), 1e-2, 8192, 1, 2)
 	}
-	a, b := run(), run()
+	sa, a := run()
+	sb, b := run()
 	if a.PureComm != b.PureComm || a.Overall != b.Overall || a.EndTime != b.EndTime {
 		t.Fatalf("timings diverged: %d/%d/%d vs %d/%d/%d",
 			a.PureComm, a.Overall, a.EndTime, b.PureComm, b.Overall, b.EndTime)
@@ -120,18 +122,28 @@ func TestChaosRunsAreDeterministic(t *testing.T) {
 	if a.Fault != b.Fault {
 		t.Fatalf("fault stats diverged: %+v vs %+v", a.Fault, b.Fault)
 	}
-	ea, eb := a.Trace.Events(), b.Trace.Events()
-	if len(ea) == 0 {
-		t.Fatal("no trace events recorded")
+	if len(instants(sa)) == 0 {
+		t.Fatal("no instant events recorded")
 	}
-	if !reflect.DeepEqual(ea, eb) {
-		t.Fatalf("traces diverged: %d vs %d events", len(ea), len(eb))
+	if !reflect.DeepEqual(sa.Spans(), sb.Spans()) {
+		t.Fatalf("span records diverged: %d vs %d spans", sa.Len(), sb.Len())
 	}
+}
+
+// instants returns the collector's instant events in recording order.
+func instants(sc *span.Collector) []span.Span {
+	var out []span.Span
+	for _, s := range sc.Spans() {
+		if s.Instant {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // Killing a proxy mid-group-offload: every rank it served fails over to
 // host-progressed execution, all payloads still arrive intact, and the
-// trace records crash -> heartbeat-loss -> failover in causal order.
+// instant events record crash -> heartbeat-loss -> failover in causal order.
 func TestProxyCrashFailsOverWithCorrectPayloads(t *testing.T) {
 	fcfg := fault.DefaultConfig(1)
 	fcfg.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond}}
@@ -140,9 +152,9 @@ func TestProxyCrashFailsOverWithCorrectPayloads(t *testing.T) {
 	opt := Options{
 		Nodes: 2, PPN: 2, Scheme: baseline.NameProposed,
 		Backed: true, ProxiesPerDPU: 1, Cluster: &ccfg,
+		Spans: span.New(0),
 	}
 	e := Build(opt)
-	e.Cl.Trace = trace.New(0)
 	np := e.Cl.Cfg.NP()
 	const msgSize = 8192
 	const iters = 3
@@ -196,19 +208,19 @@ func TestProxyCrashFailsOverWithCorrectPayloads(t *testing.T) {
 		t.Fatalf("no fallback execution recorded: %+v", st)
 	}
 
-	// The trace must show the causal chain in order.
-	events := e.Cl.Trace.Events()
+	// The instants must show the causal chain in order.
+	events := instants(opt.Spans)
 	idx := map[string]int{"crash": -1, "heartbeat-loss": -1, "failover": -1}
 	at := map[string]sim.Time{}
 	for i, ev := range events {
-		if j, ok := idx[ev.Action]; ok && j < 0 {
-			idx[ev.Action] = i
-			at[ev.Action] = ev.At
+		if j, ok := idx[ev.Name]; ok && j < 0 {
+			idx[ev.Name] = i
+			at[ev.Name] = ev.Begin
 		}
 	}
 	for _, action := range []string{"crash", "heartbeat-loss", "failover"} {
 		if idx[action] < 0 {
-			t.Fatalf("trace missing %q; events: %d", action, len(events))
+			t.Fatalf("instants missing %q; events: %d", action, len(events))
 		}
 	}
 	if !(idx["crash"] < idx["heartbeat-loss"] && idx["heartbeat-loss"] <= idx["failover"]) {

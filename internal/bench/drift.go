@@ -95,13 +95,6 @@ func SplitDrift(samples []tenant.IterSample, arrival, settle sim.Time) (pre, pos
 	return pre, post
 }
 
-// Percentile returns the p-th percentile of a sorted slice. It delegates
-// to the shared metrics helper (nearest-rank, floor indexing) so every
-// table in the repo uses one convention; kept exported for the CLIs.
-func Percentile(sorted []sim.Time, p int) sim.Time {
-	return metrics.Percentile(sorted, p)
-}
-
 // DriftPoint is one foreground policy's measured behaviour around the
 // background arrival.
 type DriftPoint struct {
@@ -165,11 +158,11 @@ func DriftSeries(target *metrics.Registry, nodes, ppn, fgIters int) []DriftPoint
 		series[i] = DriftPoint{
 			FgPolicy: pol,
 			PreN:     len(pre),
-			PreP50N:  int64(Percentile(pre, 50)),
-			PreP99N:  int64(Percentile(pre, 99)),
+			PreP50N:  int64(metrics.Percentile(pre, 50)),
+			PreP99N:  int64(metrics.Percentile(pre, 99)),
 			PostN:    len(post),
-			PostP50N: int64(Percentile(post, 50)),
-			PostP99N: int64(Percentile(post, 99)),
+			PostP50N: int64(metrics.Percentile(post, 50)),
+			PostP99N: int64(metrics.Percentile(post, 99)),
 			Reprobes: res.Metrics.CounterT("policy", pol, "reason_reprobe", "fg").Value(),
 			FinishNS: int64(fg.Finish), MakespanNS: int64(res.Makespan),
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tenant"
 )
@@ -112,11 +113,11 @@ func TestSplitDriftWindows(t *testing.T) {
 	// Nearest-rank with floor indexing (the tenant layer's convention):
 	// over [100 100 200], p50 and p99 floor to the middle sample and only
 	// p100 reaches the maximum.
-	if Percentile(post, 50) != 100 || Percentile(post, 99) != 100 || Percentile(post, 100) != 200 {
+	if metrics.Percentile(post, 50) != 100 || metrics.Percentile(post, 99) != 100 || metrics.Percentile(post, 100) != 200 {
 		t.Fatalf("percentiles p50=%v p99=%v p100=%v, want 100/100/200",
-			Percentile(post, 50), Percentile(post, 99), Percentile(post, 100))
+			metrics.Percentile(post, 50), metrics.Percentile(post, 99), metrics.Percentile(post, 100))
 	}
-	if Percentile(nil, 99) != 0 {
+	if metrics.Percentile(nil, 99) != 0 {
 		t.Fatal("empty percentile must be 0")
 	}
 }

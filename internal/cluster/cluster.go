@@ -18,7 +18,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -179,13 +178,9 @@ type Cluster struct {
 	Reg  *verbs.Registry
 	GVMI *gvmi.Manager
 
-	// Trace, when set (cl.Trace = trace.New(0)), records protocol events
-	// from the offload framework — the Figure 1 timeline as data.
-	Trace *trace.Log
-
 	// Inj is the fault injector built from Cfg.Fault (nil when faults are
 	// off). Injected faults and recoveries are counted in Inj.Stats and
-	// recorded in Trace.
+	// recorded as instant events in Spans.
 	Inj *fault.Injector
 
 	// Met is the metrics registry from Cfg.Metrics (nil when metrics are
@@ -194,7 +189,9 @@ type Cluster struct {
 
 	// Spans is the span collector from Cfg.Spans (nil when span tracing is
 	// off); downstream layers create spans through it and propagate parent
-	// IDs through their message/descriptor structs.
+	// IDs through their message/descriptor structs. Protocol steps of the
+	// offload framework land in it as instant events — the Figure 1
+	// timeline as data.
 	Spans *span.Collector
 
 	Nodes []*Node
@@ -224,7 +221,7 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.Fault != nil {
 		inj := fault.NewInjector(cfg.Fault)
-		inj.TraceFn = func() *trace.Log { return c.Trace }
+		inj.Spans = cfg.Spans
 		f.SetInjector(inj)
 		reg.SetInjector(inj)
 		c.Inj = inj

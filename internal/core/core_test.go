@@ -8,7 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/span"
 )
 
 // runFw builds a cluster, starts the framework, and runs main on one
@@ -622,8 +622,8 @@ func TestFrameworkStopUnblocksProxies(t *testing.T) {
 
 func TestTraceRecordsProtocolEvents(t *testing.T) {
 	ccfg := cluster.DefaultConfig(2, 1)
+	ccfg.Spans = span.New(0)
 	cl := cluster.New(ccfg)
-	cl.Trace = trace.New(0)
 	sites := []*cluster.Site{cl.NewHostSite(0, "a"), cl.NewHostSite(1, "b")}
 	fw := New(cl, DefaultConfig(), sites)
 	fw.Start()
@@ -641,12 +641,14 @@ func TestTraceRecordsProtocolEvents(t *testing.T) {
 	}
 	cl.K.Run()
 	actions := map[string]bool{}
-	for _, e := range cl.Trace.Events() {
-		actions[e.Action] = true
+	for _, s := range cl.Spans.Spans() {
+		if s.Instant {
+			actions[s.Name] = true
+		}
 	}
 	for _, want := range []string{"Send_Offload", "Recv_Offload", "rts", "rtr", "gvmi-write", "FIN"} {
 		if !actions[want] {
-			t.Fatalf("trace missing %q; got %v", want, actions)
+			t.Fatalf("instants missing %q; got %v", want, actions)
 		}
 	}
 }

@@ -50,13 +50,6 @@ func (px *Proxy) Later(fn func()) { px.later(fn) }
 // Spans implements datapath.Exec.
 func (px *Proxy) Spans() *span.Collector { return px.spans() }
 
-// TraceRDMA implements datapath.Exec.
-func (px *Proxy) TraceRDMA(event, detail string) {
-	if tr := px.fw.cl.Trace; tr.Enabled() {
-		tr.Add(px.proc.Now(), px.entity(), event, detail)
-	}
-}
-
 // CountWrite implements datapath.Exec.
 func (px *Proxy) CountWrite() { px.RDMAWrites++ }
 

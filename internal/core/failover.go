@@ -275,8 +275,8 @@ func (h *Host) startFallbackCall(g *GroupRequest, call int) {
 	}
 	h.fbRun = append(h.fbRun, fb)
 	h.FallbackCalls++
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "fallback-call",
+	if sp := h.spans(); sp.Enabled() {
+		sp.Instant(h.proc.Now(), h.entity(), "fallback-call",
 			fmt.Sprintf("id=%d call=%d", g.id, call))
 	}
 }
@@ -322,8 +322,8 @@ func (h *Host) advanceFallback(fb *fbCall) bool {
 	}
 	h.spans().End(fb.span)
 	delete(g.rootByCall, fb.call)
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "fallback-complete",
+	if sp := h.spans(); sp.Enabled() {
+		sp.Instant(h.proc.Now(), h.entity(), "fallback-complete",
 			fmt.Sprintf("id=%d call=%d", g.id, fb.call))
 	}
 	return true
@@ -353,8 +353,8 @@ func (h *Host) fbPostSend(fb *fbCall, idx int) {
 	h.curSpan = 0
 	fb.pending++
 	h.FallbackWrites++
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "fallback-write",
+	if sp := h.spans(); sp.Enabled() {
+		sp.Instant(h.proc.Now(), h.entity(), "fallback-write",
 			fmt.Sprintf("->%d size=%d call=%d entry=%d", e.Dst, e.Size, fb.call, idx))
 	}
 	callNum, entry, dst, dstGroup := fb.call, idx, e.Dst, e.DstGroup
@@ -407,8 +407,8 @@ func (h *Host) foSendNow(rec *sendRec) {
 		},
 		Span: rec.req.span,
 	})
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "fosend",
+	if sp := h.spans(); sp.Enabled() {
+		sp.Instant(h.proc.Now(), h.entity(), "fosend",
 			fmt.Sprintf("dst=%d size=%d tag=%d", rec.dst, rec.size, rec.tag))
 	}
 }

@@ -192,8 +192,8 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 			Payload: &greplayMsg{HostRank: h.rank, GroupID: g.id, CallSeq: g.callSeq, Span: parent},
 			Span:    parent,
 		})
-		if tr := h.fw.cl.Trace; tr.Enabled() {
-			tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "Group_Offload_call",
+		if sp := h.spans(); sp.Enabled() {
+			sp.Instant(h.proc.Now(), h.entity(), "Group_Offload_call",
 				fmt.Sprintf("replay id=%d call=%d", g.id, g.callSeq))
 		}
 		return
@@ -215,8 +215,8 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 		g.wire = entries
 		g.sentGen = px.gen
 	}
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "Group_Offload_call",
+	if sp := h.spans(); sp.Enabled() {
+		sp.Instant(h.proc.Now(), h.entity(), "Group_Offload_call",
 			fmt.Sprintf("full id=%d entries=%d", g.id, len(entries)))
 	}
 }
@@ -312,8 +312,8 @@ func (h *Host) awaitGmeta(dst, tag int) *gmetaMsg {
 // after the whole pattern has executed on the DPU.
 func (h *Host) GroupWait(g *GroupRequest) {
 	h.waitFor(func() bool { return g.doneSeq >= g.callSeq })
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "Group_Wait",
+	if sp := h.spans(); sp.Enabled() {
+		sp.Instant(h.proc.Now(), h.entity(), "Group_Wait",
 			fmt.Sprintf("id=%d call=%d", g.id, g.callSeq))
 	}
 }

@@ -246,13 +246,13 @@ func (px *Proxy) postGroupSend(g *proxyGroup, idx int) {
 	if px.sched != nil {
 		px.wireCharge(px.sched.ten.TenantOf[g.host], e.Size)
 	}
-	if tr := px.fw.cl.Trace; tr.Enabled() {
-		tr.Add(px.proc.Now(), fmt.Sprintf("proxy%d", px.global), "group-send",
+	if sp := px.spans(); sp.Enabled() {
+		sp.Instant(px.proc.Now(), px.entity(), "group-send",
 			fmt.Sprintf("host%d->%d size=%d", g.host, e.Dst, e.Size))
 	}
 	dp := datapath.ForKind(e.Path)
 	mr := dp.Execute(px, datapath.Transfer{
-		SrcHost: g.host, DstRank: e.Dst, Size: e.Size,
+		SrcHost: g.host, Size: e.Size,
 		MKey: e.MKey, Cached: g.cachedMRs[idx],
 		SrcAddr: e.SrcAddr, SrcRKey: e.SrcRKey,
 		DstAddr: e.DstAddr, DstRKey: e.DstRKey,

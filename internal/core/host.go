@@ -226,8 +226,8 @@ func (h *Host) SendOffloadVia(kind datapath.Kind, addr mem.Addr, size, dst, tag 
 	h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
 		Kind: "rts", Size: h.fw.cfg.CtrlSize + gvmi.WireSize, Payload: pay, Span: req.span,
 	})
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "Send_Offload",
+	if sp := h.spans(); sp.Enabled() {
+		sp.Instant(h.proc.Now(), h.entity(), "Send_Offload",
 			fmt.Sprintf("dst=%d size=%d tag=%d", dst, size, tag))
 	}
 	return req
@@ -267,8 +267,8 @@ func (h *Host) RecvOffload(addr mem.Addr, size, src, tag int) *OffloadRequest {
 	h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
 		Kind: "rtr", Size: h.fw.cfg.CtrlSize, Payload: pay, Span: req.span,
 	})
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "Recv_Offload",
+	if sp := h.spans(); sp.Enabled() {
+		sp.Instant(h.proc.Now(), h.entity(), "Recv_Offload",
 			fmt.Sprintf("src=%d size=%d tag=%d", src, size, tag))
 	}
 	return req
@@ -286,8 +286,8 @@ func (h *Host) drainInbox() bool {
 				delete(h.reqs, m.ReqID)
 				h.dropRecords(m.ReqID)
 				h.spans().End(q.span)
-				if tr := h.fw.cl.Trace; tr.Enabled() {
-					tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "FIN",
+				if sp := h.spans(); sp.Enabled() {
+					sp.Instant(h.proc.Now(), h.entity(), "FIN",
 						fmt.Sprintf("req=%d", m.ReqID&0xffffffff))
 				}
 			}

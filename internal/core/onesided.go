@@ -143,7 +143,7 @@ func (h *Host) GetOffload(dst Window, dstOff int, src Window, srcOff, n int) *Of
 // datapath — the owner's CPU never participates.
 func (px *Proxy) handleOneSided(m *oneSidedMsg) {
 	datapath.CrossGVMI{}.Execute(px, datapath.Transfer{
-		SrcHost: m.SrcHost, DstRank: m.Initiator, Size: m.Size,
+		SrcHost: m.SrcHost, Size: m.Size,
 		MKey:    m.SrcMKey,
 		SrcAddr: m.SrcAddr,
 		DstAddr: m.DstAddr, DstRKey: m.DstKey,

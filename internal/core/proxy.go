@@ -297,8 +297,8 @@ func (px *Proxy) restart() {
 func (px *Proxy) handle(pkt *verbs.Packet) {
 	px.proc.AdvanceBusy(px.fw.cfg.ProxyHandleCost)
 	px.CtrlMsgs++
-	if tr := px.fw.cl.Trace; tr.Enabled() {
-		tr.Add(px.proc.Now(), fmt.Sprintf("proxy%d", px.global), pkt.Kind, "")
+	if sp := px.spans(); sp.Enabled() {
+		sp.Instant(px.proc.Now(), px.entity(), pkt.Kind, "")
 	}
 	switch m := pkt.Payload.(type) {
 	case *rtsMsg:
@@ -330,17 +330,29 @@ func (px *Proxy) handle(pkt *verbs.Packet) {
 	}
 }
 
+// postAction names the instant event a basic-primitive transfer records,
+// per proxy-executable datapath: the first RDMA the path posts.
+var postAction = map[datapath.Kind]string{
+	datapath.KindCrossGVMI: "gvmi-write",
+	datapath.KindStaged:    "stage-read",
+	datapath.KindDSA:       "dsa-write",
+}
+
 // transfer moves one matched basic-primitive pair on the datapath the
 // sender chose (carried in the RTS), then FINs both hosts.
 func (px *Proxy) transfer(pr pairMsg) {
 	dp := datapath.ForKind(pr.rts.Path)
 	ts := px.transferSpan(pr, dp.Kind().String())
+	if sp := px.spans(); sp.Enabled() {
+		sp.Instant(px.proc.Now(), px.entity(), postAction[dp.Kind()],
+			fmt.Sprintf("%d->%d size=%d", pr.rts.Src, pr.rtr.Dst, pr.rts.Size))
+	}
 	dp.Execute(px, datapath.Transfer{
-		SrcHost: pr.rts.Src, DstRank: pr.rtr.Dst, Size: pr.rts.Size,
+		SrcHost: pr.rts.Src, Size: pr.rts.Size,
 		MKey:    pr.rts.MKey,
 		SrcAddr: pr.rts.SrcAddr, SrcRKey: pr.rts.SrcRKey,
 		DstAddr: pr.rtr.DstAddr, DstRKey: pr.rtr.RKey,
-		Span: ts, EndSpan: true, Trace: true,
+		Span: ts, EndSpan: true,
 	}, func() { px.finish(pr) })
 }
 

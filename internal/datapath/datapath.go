@@ -156,8 +156,6 @@ type Exec interface {
 	Later(fn func())
 	// Spans returns the span collector (nil-safe when tracing is off).
 	Spans() *span.Collector
-	// TraceRDMA emits a trace event attributed to the executor.
-	TraceRDMA(event, detail string)
 	// PostEngineWrite posts an RDMA write through the node's DSA engine
 	// port instead of the ARM-driven proxy context (KindDSA only; panics
 	// on nodes whose profile has no engine — Resolve prevents that).
@@ -171,8 +169,7 @@ type Exec interface {
 
 // Transfer describes one source-to-destination movement a proxy executes.
 type Transfer struct {
-	SrcHost int // source host rank (cross-reg cache key, trace detail)
-	DstRank int // destination rank (trace detail only)
+	SrcHost int // source host rank (cross-reg cache key)
 	Size    int
 
 	// CrossGVMI source: the host-registered GVMI mkey, plus an optional
@@ -194,9 +191,6 @@ type Transfer struct {
 	// transfer span; group sends leave the group-execution span open).
 	Span    span.ID
 	EndSpan bool
-	// Trace emits per-RDMA trace events ("gvmi-write" / "stage-read");
-	// basic primitives trace, group sends are traced by their caller.
-	Trace bool
 }
 
 // Datapath is one data-movement path. Execute posts the RDMA sequence for
@@ -248,9 +242,6 @@ func (CrossGVMI) Execute(x Exec, t Transfer, done func()) *verbs.MR {
 		mr = x.CrossReg(t.SrcHost, t.MKey, t.Span)
 	}
 	x.CountWrite()
-	if t.Trace {
-		x.TraceRDMA("gvmi-write", fmt.Sprintf("%d->%d size=%d", t.SrcHost, t.DstRank, t.Size))
-	}
 	err := x.PostWrite(verbs.WriteOp{
 		LocalKey: mr.LKey(), LocalAddr: t.SrcAddr,
 		RemoteKey: t.DstRKey, RemoteAddr: t.DstAddr,
@@ -288,9 +279,6 @@ func (Staged) Execute(x Exec, t Transfer, done func()) *verbs.MR {
 	sb := x.AcquireStage(t.Size, t.Span)
 	x.CountStaged()
 	x.CountRead()
-	if t.Trace {
-		x.TraceRDMA("stage-read", fmt.Sprintf("%d->%d size=%d", t.SrcHost, t.DstRank, t.Size))
-	}
 	err := x.PostRead(verbs.ReadOp{
 		LocalKey: sb.LKey(), LocalAddr: sb.Addr(),
 		RemoteKey: t.SrcRKey, RemoteAddr: t.SrcAddr,
@@ -349,9 +337,6 @@ func (DSA) SrcReg() SrcReg { return RegIB }
 func (DSA) Execute(x Exec, t Transfer, done func()) *verbs.MR {
 	x.CountEngine()
 	x.CountWrite()
-	if t.Trace {
-		x.TraceRDMA("dsa-write", fmt.Sprintf("%d->%d size=%d", t.SrcHost, t.DstRank, t.Size))
-	}
 	err := x.PostEngineWrite(verbs.WriteOp{
 		LocalKey: t.SrcRKey, LocalAddr: t.SrcAddr,
 		RemoteKey: t.DstRKey, RemoteAddr: t.DstAddr,

@@ -16,14 +16,14 @@
 // stream seeded with Config.Seed, drawn in discrete-event order, and no
 // draw consumes virtual time. A nil *Injector (the default when
 // cluster.Config.Fault is nil) disables every hook at zero cost — all
-// methods are nil-safe, mirroring trace.Log.
+// methods are nil-safe, mirroring span.Collector and metrics.Registry.
 package fault
 
 import (
 	"math/rand"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/span"
 )
 
 // Fate is the injected outcome of one fabric message.
@@ -213,10 +213,9 @@ type Injector struct {
 	// fields are race-free).
 	Stats Stats
 
-	// TraceFn, when set, resolves the trace log fault events are recorded
-	// to. It is a late-binding closure because cluster.Cluster.Trace is
-	// typically attached after construction.
-	TraceFn func() *trace.Log
+	// Spans, when set, records every fault and recovery as an instant
+	// event (cluster.New attaches cluster.Config.Spans).
+	Spans *span.Collector
 }
 
 // NewInjector builds the injector for one plan.
@@ -300,11 +299,11 @@ func (in *Injector) Retry() RetryConfig {
 	return in.cfg.RetryOrDefault()
 }
 
-// Note records a fault/recovery event in the attached trace log; nil-safe
-// and free when no log is attached.
+// Note records a fault/recovery event as a span instant; nil-safe and
+// free when no collector is attached.
 func (in *Injector) Note(at sim.Time, entity, action, detail string) {
-	if in == nil || in.TraceFn == nil {
+	if in == nil {
 		return
 	}
-	in.TraceFn().Add(at, entity, action, detail)
+	in.Spans.Instant(at, entity, action, detail)
 }

@@ -59,35 +59,12 @@ type Aware struct{}
 func (Aware) Name() string { return "aware" }
 
 // Decide implements Policy.
-func (Aware) Decide(q Request) Decision { return awareRule(q) }
+func (Aware) Decide(q Request) Decision {
+	if q.Caps == nil {
+		return sizeRule(q, SmallMsgCutoff)
+	}
+	return sizeRule(q, ScaledCutoff(*q.Caps))
+}
 
 // Observe implements Policy.
 func (Aware) Observe(Request, datapath.Kind, sim.Time) {}
-
-// awareRule mirrors adaptiveRule with the device-scaled cutoff. It still
-// nominates cross-GVMI for offloaded traffic: the engine's legality pass
-// degrades that to the DSA engine or staged copies on parts without
-// cross-function registration, so the rule itself stays mechanism-free.
-func awareRule(q Request) Decision {
-	if q.Caps == nil {
-		return adaptiveRule(q)
-	}
-	cutoff := ScaledCutoff(*q.Caps)
-	switch q.Class {
-	case ClassGroup:
-		if q.Size <= cutoff {
-			return Decision{Path: datapath.KindHostDirect, Reason: "small-msg"}
-		}
-		return Decision{Path: datapath.KindCrossGVMI, Reason: "group-direct"}
-	case ClassOneSided:
-		return Decision{Path: datapath.KindCrossGVMI, Reason: "one-sided"}
-	default:
-		if q.Intra {
-			return Decision{Path: datapath.KindHostDirect, Reason: "intra-node"}
-		}
-		if q.Size <= cutoff {
-			return Decision{Path: datapath.KindHostDirect, Reason: "small-msg"}
-		}
-		return Decision{Path: datapath.KindCrossGVMI, Reason: "large-msg"}
-	}
-}

@@ -222,7 +222,7 @@ func TestFeedbackProbeRetryAndFallback(t *testing.T) {
 		{Class: ClassP2P, Size: 1 << 20, Intra: true},
 		{Class: ClassOneSided, Size: 64 << 10},
 	} {
-		if got, want := f.Decide(q), adaptiveRule(q); got != want {
+		if got, want := f.Decide(q), sizeRule(q, SmallMsgCutoff); got != want {
 			t.Errorf("Feedback.Decide(%+v) = %+v, want adaptive %+v", q, got, want)
 		}
 	}

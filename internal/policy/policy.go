@@ -138,16 +138,22 @@ type Adaptive struct{}
 func (Adaptive) Name() string { return "adaptive" }
 
 // Decide implements Policy.
-func (Adaptive) Decide(q Request) Decision { return adaptiveRule(q) }
+func (Adaptive) Decide(q Request) Decision { return sizeRule(q, SmallMsgCutoff) }
 
 // Observe implements Policy.
 func (Adaptive) Observe(Request, datapath.Kind, sim.Time) {}
 
-// adaptiveRule is shared with Measuring's point-to-point fallback.
-func adaptiveRule(q Request) Decision {
+// sizeRule is the static size/op-class rule with the host-vs-offload
+// payload cutoff as a parameter: Adaptive passes SmallMsgCutoff, Aware the
+// device-scaled cutoff, and Measuring/Feedback use the Adaptive form as
+// their point-to-point fallback. Offloaded traffic is nominated to
+// cross-GVMI; the engine's legality pass degrades that to the DSA engine
+// or staged copies on parts without cross-function registration, so the
+// rule itself stays mechanism-free.
+func sizeRule(q Request, cutoff int) Decision {
 	switch q.Class {
 	case ClassGroup:
-		if q.Size <= SmallMsgCutoff {
+		if q.Size <= cutoff {
 			// Latency-bound collectives: the host algorithm beats any proxy
 			// hop (Wahlgren et al.'s "offloading everything is a loss").
 			return Decision{Path: datapath.KindHostDirect, Reason: "small-msg"}
@@ -162,7 +168,7 @@ func adaptiveRule(q Request) Decision {
 			// Shared-memory copy beats a DPU round trip.
 			return Decision{Path: datapath.KindHostDirect, Reason: "intra-node"}
 		}
-		if q.Size <= SmallMsgCutoff {
+		if q.Size <= cutoff {
 			// Latency-bound: host eager send wins; the proxy hop costs two
 			// extra control messages.
 			return Decision{Path: datapath.KindHostDirect, Reason: "small-msg"}
@@ -242,7 +248,7 @@ func (m *Measuring) Decide(q Request) Decision {
 	if q.Class != ClassGroup {
 		// Probing p2p would need both endpoints to flip in lockstep; stay
 		// on the class/size-deterministic rule (see the package comment).
-		return adaptiveRule(q)
+		return sizeRule(q, SmallMsgCutoff)
 	}
 	e := m.entry(q)
 	if e.frozen {

@@ -98,7 +98,7 @@ func TestMeasuringP2PFallsBackToAdaptive(t *testing.T) {
 		{Class: ClassP2P, Size: 1 << 20},
 		{Class: ClassOneSided, Size: 1 << 20},
 	} {
-		if got, want := m.Decide(q), adaptiveRule(q); got != want {
+		if got, want := m.Decide(q), sizeRule(q, SmallMsgCutoff); got != want {
 			t.Errorf("Measuring.Decide(%+v) = %+v, want adaptive %+v", q, got, want)
 		}
 	}

@@ -13,16 +13,17 @@ import (
 // jsonSpan is the JSONL wire form of one span. Field order is fixed by the
 // struct, so output is deterministic line by line.
 type jsonSpan struct {
-	ID     ID              `json:"id"`
-	Parent ID              `json:"parent,omitempty"`
-	Class  string          `json:"class"`
-	Entity string          `json:"entity"`
-	Layer  string          `json:"layer"`
-	Name   string          `json:"name"`
-	Begin  sim.Time        `json:"begin_ns"`
-	End    sim.Time        `json:"end_ns"`
-	Open   bool            `json:"open,omitempty"`
-	Attrs  json.RawMessage `json:"attrs,omitempty"`
+	ID      ID              `json:"id"`
+	Parent  ID              `json:"parent,omitempty"`
+	Class   string          `json:"class"`
+	Entity  string          `json:"entity"`
+	Layer   string          `json:"layer"`
+	Name    string          `json:"name"`
+	Begin   sim.Time        `json:"begin_ns"`
+	End     sim.Time        `json:"end_ns"`
+	Open    bool            `json:"open,omitempty"`
+	Instant bool            `json:"instant,omitempty"`
+	Attrs   json.RawMessage `json:"attrs,omitempty"`
 }
 
 func encodeAttrs(attrs []Attr) json.RawMessage {
@@ -51,7 +52,7 @@ func encodeAttrs(attrs []Attr) json.RawMessage {
 
 // WriteJSONL writes every recorded span as one JSON object per line, in
 // creation (= deterministic) order. Open spans are marked "open" with
-// end_ns equal to begin_ns.
+// end_ns equal to begin_ns; instant events are marked "instant".
 func (c *Collector) WriteJSONL(w io.Writer) error {
 	if c == nil {
 		return nil
@@ -62,7 +63,7 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 		js := jsonSpan{
 			ID: s.ID, Parent: s.Parent, Class: s.Class.String(),
 			Entity: s.Entity, Layer: s.Layer, Name: s.Name,
-			Begin: s.Begin, End: s.End, Open: !s.Ended,
+			Begin: s.Begin, End: s.End, Open: !s.Ended, Instant: s.Instant,
 			Attrs: encodeAttrs(s.Attrs),
 		}
 		if !s.Ended {
@@ -77,10 +78,12 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 
 // WriteChromeTrace writes the span tree in Chrome trace-event JSON
 // (chrome://tracing, Perfetto). Each entity becomes a named thread;
-// spans become complete ("X") duration events, and every cross-entity
-// parent/child edge becomes a flow-event pair ("s" on the parent's track
-// at the child's begin, "f" on the child's track) so the causal chain —
-// host call -> proxy -> HCA -> wire — is drawn as arrows across tracks.
+// spans become complete ("X") duration events, instant events become
+// thread-scoped instant ("i") events on their entity's thread, and every
+// cross-entity parent/child edge becomes a flow-event pair ("s" on the
+// parent's track at the child's begin, "f" on the child's track) so the
+// causal chain — host call -> proxy -> HCA -> wire — is drawn as arrows
+// across tracks.
 // Timestamps are microseconds (floats), the format's native unit.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	return c.WriteChromeTraceWith(w, nil)
@@ -130,24 +133,18 @@ func (c *Collector) WriteChromeTraceWith(w io.Writer, extra []string) error {
 	}
 	for i := range spans {
 		s := &spans[i]
+		name, _ := json.Marshal(s.Name)
+		if s.Instant {
+			emit(fmt.Sprintf(`{"ph":"i","s":"t","pid":0,"tid":%d,"ts":%g,"name":%s,"cat":"event","args":%s}`,
+				tid[s.Entity], us(s.Begin), name, chromeArgs(s)))
+			continue
+		}
 		end := s.End
 		if !s.Ended {
 			end = s.Begin
 		}
-		name, _ := json.Marshal(s.Name)
-		args := fmt.Sprintf(`{"id":%d,"class":%q`, s.ID, s.Class.String())
-		for _, a := range s.Attrs {
-			k, _ := json.Marshal(a.Key)
-			if a.IsInt {
-				args += fmt.Sprintf(",%s:%d", k, a.Int)
-			} else {
-				v, _ := json.Marshal(a.Str)
-				args += fmt.Sprintf(",%s:%s", k, v)
-			}
-		}
-		args += "}"
 		emit(fmt.Sprintf(`{"ph":"X","pid":0,"tid":%d,"ts":%g,"dur":%g,"name":%s,"cat":%q,"args":%s}`,
-			tid[s.Entity], us(s.Begin), us(end-s.Begin), name, s.Layer, args))
+			tid[s.Entity], us(s.Begin), us(end-s.Begin), name, s.Layer, chromeArgs(s)))
 		if s.Parent != 0 {
 			if p, ok := c.Get(s.Parent); ok && p.Entity != s.Entity {
 				// Flow arrow from the parent's track to the child's at the
@@ -165,6 +162,56 @@ func (c *Collector) WriteChromeTraceWith(w io.Writer, extra []string) error {
 	b.WriteString("\n]\n")
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// chromeArgs renders a span's Chrome "args" object: its ID and class, then
+// its attributes in recording order.
+func chromeArgs(s *Span) string {
+	args := fmt.Sprintf(`{"id":%d,"class":%q`, s.ID, s.Class.String())
+	for _, a := range s.Attrs {
+		k, _ := json.Marshal(a.Key)
+		if a.IsInt {
+			args += fmt.Sprintf(",%s:%d", k, a.Int)
+		} else {
+			v, _ := json.Marshal(a.Str)
+			args += fmt.Sprintf(",%s:%s", k, v)
+		}
+	}
+	return args + "}"
+}
+
+// WriteTimeline renders the instant events as an aligned chronological
+// listing (stable for equal times, in recording order):
+//
+//	12.50us  rank0   Send_Offload  dst=1 size=65536 tag=4
+//	13.20us  proxy0  rts
+//
+// It returns the first write error encountered (writes stop there), so
+// callers streaming to files or pipes see short writes instead of silently
+// truncated timelines. A nil collector writes nothing.
+func (c *Collector) WriteTimeline(w io.Writer) error {
+	var events []*Span
+	entW, actW := 6, 6
+	for i := range c.Spans() {
+		s := &c.spans[i]
+		if !s.Instant {
+			continue
+		}
+		events = append(events, s)
+		entW = max(entW, len(s.Entity))
+		actW = max(actW, len(s.Name))
+	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Begin < events[j].Begin })
+	for _, s := range events {
+		var detail string
+		if len(s.Attrs) > 0 {
+			detail = s.Attrs[0].Str
+		}
+		if _, err := fmt.Fprintf(w, "%12s  %-*s  %-*s  %s\n", s.Begin, entW, s.Entity, actW, s.Name, detail); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteFolded writes pprof-style folded stacks ("frame;frame;frame value"

@@ -2,10 +2,17 @@
 // connecting each application-level operation (an MPI Isend, a collective
 // call) to the core proxy/group work, verbs registrations and RDMA
 // operations, and fabric injection + wire flights it spawned. Where
-// internal/trace answers "what happened when" and internal/metrics answers
-// "how much in total", spans answer "why did THIS operation take THIS
-// long" — the critical-path and attribution analyses in analysis.go turn a
-// span tree into a per-layer latency breakdown.
+// internal/metrics answers "how much in total", spans answer "why did THIS
+// operation take THIS long" — the critical-path and attribution analyses in
+// analysis.go turn a span tree into a per-layer latency breakdown.
+//
+// The same collector also answers "what happened when": instant events
+// (Instant) are zero-duration, parentless records of one protocol step
+// (RTS sent, FIN received, group executed) or fault/recovery action (drop,
+// retry, crash, failover) on one entity — the paper's Figure 1 timeline as
+// data. Instants are exported alongside spans but never take part in path
+// analysis: they are not roots, never lie on a critical path, and add
+// nothing to attribution or folded stacks.
 //
 // The package follows the same zero-overhead discipline as
 // internal/metrics: a nil *Collector is fully usable (every method is a
@@ -67,18 +74,21 @@ type Attr struct {
 // Span is one recorded interval. Begin/End are virtual times; End is only
 // meaningful when Ended is true (a span that was never ended — e.g. an
 // operation still in flight when the run stopped — stays open and is
-// excluded from path analysis).
+// excluded from path analysis). An instant event is a Span with Instant
+// set: Begin == End, no parent or class, Name is the action and the
+// optional "detail" string attribute describes it.
 type Span struct {
-	ID     ID
-	Parent ID
-	Class  Class
-	Entity string // owning instance: "rank3", "proxy1", "n0.dpu", "n0.dpu->n1.host"
-	Layer  string // originating layer: "mpi", "coll", "core", "verbs", "fabric"
-	Name   string // operation: "ialltoall", "group_exec", "rdma_write", "wire", ...
-	Begin  sim.Time
-	End    sim.Time
-	Ended  bool
-	Attrs  []Attr
+	ID      ID
+	Parent  ID
+	Class   Class
+	Entity  string // owning instance: "rank3", "proxy1", "n0.dpu", "n0.dpu->n1.host"
+	Layer   string // originating layer: "mpi", "coll", "core", "verbs", "fabric"
+	Name    string // operation: "ialltoall", "group_exec", "rdma_write", "wire", ...
+	Begin   sim.Time
+	End     sim.Time
+	Ended   bool
+	Instant bool
+	Attrs   []Attr
 }
 
 // Dur returns the span's duration (0 for open spans).
@@ -134,31 +144,53 @@ func (c *Collector) StartAt(parent ID, class Class, entity, layer, name string, 
 	if c == nil {
 		return 0
 	}
-	if c.limit > 0 && len(c.spans) >= c.limit {
-		c.dropped++
+	s := c.slot()
+	if s == nil {
 		return 0
 	}
-	id := ID(len(c.spans) + 1)
-	if n := len(c.spans); n < cap(c.spans) {
-		// Reuse a slot recycled by Reset: keep its Attrs backing array so
-		// steady-state recording (begin/end/attr) allocates nothing, like
-		// the kernel's event arena.
+	s.Parent, s.Class = parent, class
+	s.Entity, s.Layer, s.Name = entity, layer, name
+	s.Begin = at
+	return s.ID
+}
+
+// Instant records a zero-duration event at virtual time at on entity's
+// track: action names what happened, detail (optional) describes it.
+// Instants are parentless but are not roots; see the package comment.
+// Like StartAt, a full collector counts the drop instead.
+func (c *Collector) Instant(at sim.Time, entity, action, detail string) {
+	if c == nil {
+		return
+	}
+	s := c.slot()
+	if s == nil {
+		return
+	}
+	s.Entity, s.Name = entity, action
+	s.Begin, s.End, s.Ended, s.Instant = at, at, true, true
+	if detail != "" {
+		s.Attrs = append(s.Attrs, Attr{Key: "detail", Str: detail})
+	}
+}
+
+// slot appends a zeroed span with its ID assigned, or counts a drop and
+// returns nil when the limit is reached. A slot recycled by Reset keeps
+// its Attrs backing array, so steady-state recording (begin/end/attr,
+// instants) allocates nothing, like the kernel's event arena.
+func (c *Collector) slot() *Span {
+	if c.limit > 0 && len(c.spans) >= c.limit {
+		c.dropped++
+		return nil
+	}
+	n := len(c.spans)
+	if n < cap(c.spans) {
 		c.spans = c.spans[:n+1]
 		s := &c.spans[n]
-		attrs := s.Attrs[:0]
-		*s = Span{
-			ID: id, Parent: parent, Class: class,
-			Entity: entity, Layer: layer, Name: name,
-			Begin: at, Attrs: attrs,
-		}
-	} else {
-		c.spans = append(c.spans, Span{
-			ID: id, Parent: parent, Class: class,
-			Entity: entity, Layer: layer, Name: name,
-			Begin: at,
-		})
+		*s = Span{ID: ID(n + 1), Attrs: s.Attrs[:0]}
+		return s
 	}
-	return id
+	c.spans = append(c.spans, Span{ID: ID(n + 1)})
+	return &c.spans[n]
 }
 
 // Reset forgets every recorded span and drop count while keeping the span
@@ -257,13 +289,14 @@ func (c *Collector) Spans() []Span {
 }
 
 // Roots returns the IDs of all spans with no parent, in creation order.
+// Instant events are not roots.
 func (c *Collector) Roots() []ID {
 	if c == nil {
 		return nil
 	}
 	var ids []ID
 	for i := range c.spans {
-		if c.spans[i].Parent == 0 {
+		if c.spans[i].Parent == 0 && !c.spans[i].Instant {
 			ids = append(ids, c.spans[i].ID)
 		}
 	}
@@ -280,7 +313,7 @@ func (c *Collector) RootsNamed(layer, name string) []ID {
 	var ids []ID
 	for i := range c.spans {
 		s := &c.spans[i]
-		if s.Parent != 0 {
+		if s.Parent != 0 || s.Instant {
 			continue
 		}
 		if layer != "" && s.Layer != layer {
