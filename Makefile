@@ -44,11 +44,11 @@ bench-snapshot:
 snapshot-check:
 	$(GO) test -run 'TestCheckedInBenchSnapshotValid|TestFig13SnapshotMatchesPinnedGuards' ./internal/bench/
 
-# Perf smoke: allocation budgets on the event core hot paths, the
+# Perf smoke: allocation budgets on the event core and proxy-loop hot paths, the
 # serial-vs-parallel determinism guard, and a byte-level diff of a
 # parallel-runner snapshot against the checked-in baseline.
 bench-smoke:
-	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical|TestCheckedInWallclockValid' -v ./internal/sim/ ./internal/span/ ./internal/bench/
+	$(GO) test -run 'AllocFree|AllocBudget|TestSweepSerialParallelIdentical|TestCheckedInWallclockValid' -v ./internal/sim/ ./internal/span/ ./internal/core/ ./internal/bench/
 	$(GO) run ./cmd/offloadbench bench-snapshot -parallel 4 -o .bench_fig13.parallel.json
 	cmp BENCH_fig13.json .bench_fig13.parallel.json
 	rm -f .bench_fig13.parallel.json

@@ -42,11 +42,6 @@ type dlvID struct {
 	src, dst, group, call, entry int
 }
 
-// gsKey indexes a host-side delivery counter: (group id, source host).
-type gsKey struct {
-	group, src int
-}
-
 // sendRec remembers an outstanding basic-primitive send for fallback.
 type sendRec struct {
 	req    *OffloadRequest
@@ -108,7 +103,7 @@ func (h *Host) noteDelivery(at sim.Time, m *dlvMsg) {
 		return
 	}
 	h.dlvSeen[id] = true
-	h.dlvCnt[gsKey{m.DstGroup, m.SrcHost}]++
+	h.dlvCnt.barrier(groupKey{h.rank, m.DstGroup}).deliver(m.SrcHost)
 	h.ctx.InboxCond.Broadcast()
 	h.fw.proxyFor(h.rank).ctx.InboxCond.Broadcast()
 }
@@ -335,7 +330,7 @@ func (h *Host) advanceFallback(fb *fbCall) bool {
 func (h *Host) fbRecvsOK(fb *fbCall) bool {
 	g := fb.g
 	for src, j := range fb.need {
-		if h.dlvCnt[gsKey{g.id, src}] < (fb.call-1)*g.recvsPerCall(src)+j {
+		if h.dlvCnt.delivered(groupKey{h.rank, g.id}, src) < (fb.call-1)*g.recvsPerCall(src)+j {
 			return false
 		}
 	}

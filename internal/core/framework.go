@@ -143,7 +143,7 @@ func New(cl *cluster.Cluster, cfg Config, sites []*cluster.Site) *Framework {
 			// enough request state to re-execute lost work itself.
 			h.dlvCtx = sites[r].NewCtx(fmt.Sprintf("dlvctr%d", r))
 			h.dlvSeen = make(map[dlvID]bool)
-			h.dlvCnt = make(map[gsKey]int)
+			h.dlvCnt = make(dlvCounters)
 			h.pendingSends = make(map[int64]*sendRec)
 			h.osPending = make(map[int64]*osRec)
 			h.mHeartbeatLosses = cl.Met.Counter("core", fmt.Sprintf("rank%d", r), "heartbeat_losses")

@@ -24,15 +24,19 @@ type proxyGroup struct {
 	pending     int // RDMA writes posted but not yet completed
 	numBarriers int
 
-	// expected counts, per source host, of deliveries required so far
-	// (cumulative across calls); compared against the proxy's delivery
-	// counters — the barrier-counter mechanism of Section VII-C.
-	expected map[int]int
+	// bar is the group's barrier-counter state of Section VII-C in its
+	// delivery-counter home (see barrier.go): the walk records expected
+	// receives into it, deliveries settle them.
+	bar *recvBarrier
 
 	// cachedMRs memoizes cross-registrations per entry so replays skip even
 	// the cache lookup ("the group entry queue also contains the GVMI
 	// registration cache entry").
 	cachedMRs []*verbs.MR
+
+	// sendDone holds each send entry's completion callback, built once per
+	// install so replays post without a closure per send.
+	sendDone []func()
 
 	// roots maps each pending call number to the host-side root span it
 	// arrived under (dropped as calls complete); execSpan is the proxy's
@@ -49,12 +53,19 @@ func (px *Proxy) installGroup(m *groupPacket) {
 	k := groupKey{m.HostRank, m.GroupID}
 	g := px.groups[k]
 	if g == nil {
-		g = &proxyGroup{host: m.HostRank, id: m.GroupID, expected: make(map[int]int)}
+		g = &proxyGroup{host: m.HostRank, id: m.GroupID, bar: px.dlvHome(m.HostRank).barrier(k)}
+		g.bar.install()
 		px.groups[k] = g
 		px.groupList = append(px.groupList, g)
 	}
 	g.entries = m.Entries
 	g.cachedMRs = make([]*verbs.MR, len(m.Entries))
+	g.sendDone = make([]func(), len(m.Entries))
+	for i := range m.Entries {
+		if e := &m.Entries[i]; e.Type == OpSend {
+			g.sendDone[i] = func() { px.groupSendDone(g, i, e) }
+		}
+	}
 	if m.CallSeq > g.callSeq {
 		g.callSeq = m.CallSeq
 	}
@@ -98,38 +109,36 @@ func (px *Proxy) replayGroup(m *greplayMsg) {
 }
 
 // activeGroups returns groups that can make progress, in install order
-// (deterministic).
+// (deterministic). The result lives in a per-proxy buffer that the next
+// call overwrites; only the proxy's own loop calls it, and it is done with
+// one result before asking for the next.
 func (px *Proxy) activeGroups() []*proxyGroup {
-	var out []*proxyGroup
+	out := px.active[:0]
 	for _, g := range px.groupList {
 		if g.running || g.finishedSeq < g.callSeq {
 			out = append(out, g)
 		}
 	}
+	px.active = out
 	return out
 }
 
-// recvsSatisfied checks the delivery counters against the group's expected
-// receive counts (isRecvBarrierDone of Algorithm 1). When crashes are
-// configured the counters live in the destination host's memory (RDMA
-// counter writes, Section VII-C) so they survive a proxy failure; the proxy
-// reads them across the PCIe switch.
-func (px *Proxy) recvsSatisfied(g *proxyGroup) bool {
+// dlvHome returns the delivery-counter home of groups destined to host.
+// When crashes are configured the counters live in the destination host's
+// memory (RDMA counter writes, Section VII-C) so they survive a proxy
+// failure, and the proxy reads them across the PCIe switch; otherwise they
+// live in the proxy's own memory.
+func (px *Proxy) dlvHome(host int) dlvCounters {
 	if px.fw.crashesConfigured() {
-		h := px.fw.hosts[g.host]
-		for src, n := range g.expected {
-			if h.dlvCnt[gsKey{g.id, src}] < n {
-				return false
-			}
-		}
-		return true
+		return px.fw.hosts[host].dlvCnt
 	}
-	for src, n := range g.expected {
-		if px.deliveries[deliveryKey{g.host, g.id, src}] < n {
-			return false
-		}
-	}
-	return true
+	return px.deliveries
+}
+
+// recvsSatisfied checks the delivery counters against the group's expected
+// receive counts (isRecvBarrierDone of Algorithm 1).
+func (px *Proxy) recvsSatisfied(g *proxyGroup) bool {
+	return g.bar.satisfied()
 }
 
 // advanceGroup is the proxy-side engine of Algorithm 1: it walks the entry
@@ -173,7 +182,7 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 			g.idx++
 			progressed = true
 		case OpRecv:
-			g.expected[e.Src]++
+			g.bar.expect(e.Src)
 			g.idx++
 			progressed = true
 		case OpBarrier:
@@ -215,33 +224,12 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 }
 
 // postGroupSend issues the RDMA for one send entry on the datapath the
-// entry was recorded with, and notifies the destination's proxy on
-// completion. A cross-registration returned by the datapath is memoized per
-// entry when the group cache is on, so replays skip even the cache lookup.
+// entry was recorded with; its completion (groupSendDone) notifies the
+// destination's proxy. A cross-registration returned by the datapath is
+// memoized per entry when the group cache is on, so replays skip even the
+// cache lookup.
 func (px *Proxy) postGroupSend(g *proxyGroup, idx int) {
 	e := &g.entries[idx]
-	callNum := g.finishedSeq + 1 // the call currently executing
-	exec := g.execSpan           // captured: the field clears when the call ends
-	notify := func() {
-		g.pending--
-		pay := &dlvMsg{
-			SrcHost: g.host, DstHost: e.Dst, DstGroup: e.DstGroup,
-			Call: callNum, Entry: idx,
-		}
-		if px.fw.crashesConfigured() {
-			// Counter write into destination host memory (crash-safe).
-			h := px.fw.hosts[e.Dst]
-			px.ctx.PostSend(px.proc, h.dlvCtx, &verbs.Packet{
-				Kind: "dlv", Size: px.fw.cfg.CtrlSize, Payload: pay, Span: exec,
-			})
-			return
-		}
-		dst := px.fw.proxyFor(e.Dst)
-		px.ctx.PostSend(px.proc, dst.ctx, &verbs.Packet{
-			Kind: "dlv", Size: px.fw.cfg.CtrlSize, Payload: pay, Span: exec,
-		})
-	}
-
 	g.pending++
 	if px.sched != nil {
 		px.wireCharge(px.sched.ten.TenantOf[g.host], e.Size)
@@ -256,9 +244,35 @@ func (px *Proxy) postGroupSend(g *proxyGroup, idx int) {
 		MKey: e.MKey, Cached: g.cachedMRs[idx],
 		SrcAddr: e.SrcAddr, SrcRKey: e.SrcRKey,
 		DstAddr: e.DstAddr, DstRKey: e.DstRKey,
-		Span: exec,
-	}, notify)
+		Span: g.execSpan,
+	}, g.sendDone[idx])
 	if mr != nil && px.fw.cfg.GroupCache {
 		g.cachedMRs[idx] = mr
 	}
+}
+
+// groupSendDone completes send entry idx (e, from the install the send was
+// posted under): it retires the pending write and posts the delivery
+// notification. The call number and execution span are read here rather
+// than captured at post time; both are stable while the send is pending,
+// because a call cannot end with g.pending > 0.
+func (px *Proxy) groupSendDone(g *proxyGroup, idx int, e *wireOp) {
+	pay := &dlvMsg{
+		SrcHost: g.host, DstHost: e.Dst, DstGroup: e.DstGroup,
+		Call: g.finishedSeq + 1, Entry: idx,
+	}
+	exec := g.execSpan
+	g.pending--
+	if px.fw.crashesConfigured() {
+		// Counter write into destination host memory (crash-safe).
+		h := px.fw.hosts[e.Dst]
+		px.ctx.PostSend(px.proc, h.dlvCtx, &verbs.Packet{
+			Kind: "dlv", Size: px.fw.cfg.CtrlSize, Payload: pay, Span: exec,
+		})
+		return
+	}
+	dst := px.fw.proxyFor(e.Dst)
+	px.ctx.PostSend(px.proc, dst.ctx, &verbs.Packet{
+		Kind: "dlv", Size: px.fw.cfg.CtrlSize, Payload: pay, Span: exec,
+	})
 }

@@ -47,7 +47,7 @@ type Host struct {
 	// survive a proxy failure.
 	dlvCtx       *verbs.Ctx
 	dlvSeen      map[dlvID]bool
-	dlvCnt       map[gsKey]int
+	dlvCnt       dlvCounters
 	pendingSends map[int64]*sendRec
 	pendingRecvs []*recvRec
 	foQ          []*foSendMsg

@@ -22,14 +22,6 @@ type matchKey struct{ src, dst, tag int }
 // cache is "indexed by the host's request ID and rank".
 type groupKey struct{ host, id int }
 
-// deliveryKey attributes delivery counters exactly: destination host, its
-// group request, and the source host.
-type deliveryKey struct {
-	dstHost  int
-	dstGroup int
-	srcHost  int
-}
-
 // Proxy is a worker process on a BlueField DPU serving the host processes
 // mapped to it. Its progress engine runs as a dedicated daemon — the reason
 // offloaded patterns advance without host CPU intervention.
@@ -57,10 +49,12 @@ type Proxy struct {
 	recvQ    map[matchKey][]*rtrMsg
 	combined []pairMsg // matched send/recv pairs awaiting transfer
 	deferred []func()  // actions queued by RDMA completions
+	spare    []func()  // deferred's other buffer: the loop swaps the two
 
 	groups     map[groupKey]*proxyGroup
 	groupList  []*proxyGroup // install order, for deterministic iteration
-	deliveries map[deliveryKey]int
+	active     []*proxyGroup // activeGroups' buffer, reused every loop pass
+	deliveries dlvCounters
 
 	stagePool map[int][]*stageBuf
 
@@ -108,7 +102,7 @@ func newProxy(fw *Framework, global, node, local int, site *cluster.Site) *Proxy
 		sendQ:      make(map[matchKey][]*rtsMsg),
 		recvQ:      make(map[matchKey][]*rtrMsg),
 		groups:     make(map[groupKey]*proxyGroup),
-		deliveries: make(map[deliveryKey]int),
+		deliveries: make(dlvCounters),
 		stagePool:  make(map[int][]*stageBuf),
 	}
 	if site.Node.DSAEP != nil {
@@ -188,11 +182,15 @@ func (px *Proxy) run(p *sim.Proc) {
 			}
 		}
 		for len(px.deferred) > 0 {
+			// Completions queued while this batch runs go to the spare
+			// buffer; the two swap, so a steady loop allocates nothing.
 			fns := px.deferred
-			px.deferred = nil
-			for _, fn := range fns {
+			px.deferred = px.spare[:0]
+			for i, fn := range fns {
+				fns[i] = nil
 				fn()
 			}
+			px.spare = fns[:0]
 			progressed = true
 		}
 		if len(px.combined) > 0 {
@@ -253,7 +251,7 @@ func (px *Proxy) crash() {
 	px.combined, px.deferred = nil, nil
 	px.groups = make(map[groupKey]*proxyGroup)
 	px.groupList = nil
-	px.deliveries = make(map[deliveryKey]int)
+	px.deliveries = make(dlvCounters)
 	px.stagePool = make(map[int][]*stageBuf)
 	px.crossCache = regcache.New[*verbs.MR](fw.cl.Cfg.NP(), 0, func(mr *verbs.MR) { mr.Deregister() })
 	px.instrument()
@@ -322,7 +320,7 @@ func (px *Proxy) handle(pkt *verbs.Packet) {
 	case *greplayMsg:
 		px.replayGroup(m)
 	case *dlvMsg:
-		px.deliveries[deliveryKey{m.DstHost, m.DstGroup, m.SrcHost}]++
+		px.deliveries.barrier(groupKey{m.DstHost, m.DstGroup}).deliver(m.SrcHost)
 	case *oneSidedMsg:
 		px.handleOneSided(m)
 	default:

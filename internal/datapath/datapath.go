@@ -245,19 +245,26 @@ func (CrossGVMI) Execute(x Exec, t Transfer, done func()) *verbs.MR {
 	err := x.PostWrite(verbs.WriteOp{
 		LocalKey: mr.LKey(), LocalAddr: t.SrcAddr,
 		RemoteKey: t.DstRKey, RemoteAddr: t.DstAddr,
-		Size: t.Size,
-		Span: t.Span,
-		OnRemoteComplete: func(at sim.Time) {
-			if t.EndSpan {
-				x.Spans().EndAt(t.Span, at)
-			}
-			x.Later(done)
-		},
+		Size:             t.Size,
+		Span:             t.Span,
+		OnRemoteComplete: remoteComplete(x, t.Span, t.EndSpan, done),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("datapath: gvmi write: %v", err))
 	}
 	return mr
+}
+
+// remoteComplete is the remote-completion handler of a single-write path:
+// end the transfer span if asked, then defer done to the executor. It
+// captures only what it needs, not the whole Transfer.
+func remoteComplete(x Exec, s span.ID, endSpan bool, done func()) func(sim.Time) {
+	return func(at sim.Time) {
+		if endSpan {
+			x.Spans().EndAt(s, at)
+		}
+		x.Later(done)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -340,14 +347,9 @@ func (DSA) Execute(x Exec, t Transfer, done func()) *verbs.MR {
 	err := x.PostEngineWrite(verbs.WriteOp{
 		LocalKey: t.SrcRKey, LocalAddr: t.SrcAddr,
 		RemoteKey: t.DstRKey, RemoteAddr: t.DstAddr,
-		Size: t.Size,
-		Span: t.Span,
-		OnRemoteComplete: func(at sim.Time) {
-			if t.EndSpan {
-				x.Spans().EndAt(t.Span, at)
-			}
-			x.Later(done)
-		},
+		Size:             t.Size,
+		Span:             t.Span,
+		OnRemoteComplete: remoteComplete(x, t.Span, t.EndSpan, done),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("datapath: dsa write: %v", err))

@@ -63,8 +63,7 @@ type Kernel struct {
 	procs   []*Proc
 	live    int   // spawned but not finished
 	running *Proc // process currently executing, nil in handler context
-	yield   chan struct{}
-	dead    bool // set by Shutdown; the kernel accepts no further work
+	dead    bool  // set by Shutdown; the kernel accepts no further work
 
 	// Sharded mode (ConfigureShards): per-shard heaps plus the state of the
 	// lookahead window currently being dispatched. curShard is the shard tag
@@ -96,7 +95,7 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Clock is the read-only view of a virtual clock. Kernel satisfies it;
@@ -330,66 +329,58 @@ func (k *Kernel) step() {
 }
 
 // Spawn creates a new simulated process that will begin executing fn at the
-// current virtual time. fn runs in its own goroutine but only while the
-// kernel has handed it control. The process inherits the current shard tag;
+// current virtual time. fn runs as a coroutine, and only while the kernel
+// has handed it control: a handoff is a direct coroutine switch, not a trip
+// through the Go scheduler. The process inherits the current shard tag;
 // topology owners (the cluster) override it with SetShard after placement.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	if k.dead {
 		panic("sim: Spawn on a kernel after Shutdown")
 	}
 	p := &Proc{
-		k:      k,
-		id:     len(k.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		shard:  k.curShard,
+		k:     k,
+		id:    len(k.procs),
+		name:  name,
+		shard: k.curShard,
 	}
 	k.procs = append(k.procs, p)
 	k.live++
-	go func() {
-		defer func() {
-			if r := recover(); r != nil && r != errShutdown {
-				panic(r)
-			}
-			p.state = procDone
-			k.live--
-			k.yield <- struct{}{}
-		}()
-		<-p.resume
-		if p.killed {
-			return
-		}
+	p.start(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
 		fn(p)
-	}()
+	})
 	k.scheduleProc(k.now, p)
 	return p
 }
 
-// dispatch hands control to p until it blocks or finishes.
+// dispatch hands control to p until it blocks or finishes. A panic in the
+// body propagates from here with its original value; the deferred reset
+// keeps the kernel in handler context so a later Shutdown still unwinds the
+// remaining processes.
 func (k *Kernel) dispatch(p *Proc) {
-	if p.state == procDone || p.killed {
+	if p.state == procDone {
 		return
 	}
 	p.state = procRunning
 	k.running = p
-	p.resume <- struct{}{}
-	<-k.yield
-	k.running = nil
+	defer func() { k.running = nil }()
+	p.next()
 }
 
 // errShutdown is the sentinel Shutdown throws through parked process
-// goroutines; the Spawn wrapper recovers it and unwinds cleanly.
+// bodies; exit recovers it so the body unwinds cleanly.
 var errShutdown = errors.New("sim: kernel shut down")
 
-// Shutdown unwinds every process goroutine that has not finished: parked
-// processes are resumed with a kill flag set and unwind via a sentinel panic
-// that their Spawn wrapper recovers; spawned-but-never-started processes
-// return before running their body. Without it, a kernel abandoned with
+// Shutdown unwinds every process that has not finished: parked processes are
+// stopped, their pending yield reports false and the body unwinds via a
+// sentinel panic that exit recovers; spawned-but-never-started processes are
+// stopped without running their body. Without it, a kernel abandoned with
 // blocked processes (deadlock reports, RunUntil stopping early, daemons
-// whose wakeup never came) leaks one parked goroutine per process for the
-// life of the OS process — benchmark sweeps build thousands of kernels, so
-// bench/test helpers call Shutdown on every kernel they retire. Shard
-// extraction workers (ConfigureShards) are stopped the same way.
+// whose wakeup never came) leaks one parked coroutine goroutine per process
+// for the life of the OS process — benchmark sweeps build thousands of
+// kernels, so bench/test helpers call Shutdown on every kernel they retire.
+// Shard extraction workers (ConfigureShards) are stopped the same way.
 //
 // Shutdown must be called from outside the kernel (not from a process or
 // handler). Afterwards the kernel is dead: Spawn, Run, RunUntil, and every
@@ -400,12 +391,14 @@ func (k *Kernel) Shutdown() {
 		panic("sim: Shutdown called from inside the simulation")
 	}
 	for _, p := range k.procs {
-		if p.state == procDone {
+		switch p.state {
+		case procDone:
 			continue
+		case procReady: // never dispatched: stop skips the body and its exit
+			p.state = procDone
+			k.live--
 		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-k.yield
+		p.stop()
 	}
 	k.stopWorkers()
 	k.dead = true

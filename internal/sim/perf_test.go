@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"testing"
@@ -50,13 +52,148 @@ func TestSleepSteadyStateAllocFree(t *testing.T) {
 			p.Sleep(10)
 		}
 	})
-	k.RunUntil(1000) // warm up: arena, heap, goroutine stack
+	k.RunUntil(1000) // warm up: arena, heap, coroutine stack
 	allocs := testing.AllocsPerRun(100, func() {
 		k.RunUntil(k.Now() + 100)
 	})
 	k.Shutdown()
 	if allocs > 0 {
 		t.Fatalf("Sleep round-trips allocated %.1f objects per run in steady state, want 0", allocs)
+	}
+}
+
+// A Cond keeps its waiter queue's backing array across wakeups: a steady
+// handoff between two procs — one woken by Signal, the other by Broadcast —
+// allocates nothing.
+func TestCondHandoffSteadyStateAllocFree(t *testing.T) {
+	k := NewKernel()
+	var ping, pong Cond
+	turn := 0
+	k.Spawn("ping", func(p *Proc) {
+		for {
+			p.Sleep(1)
+			turn = 1
+			pong.Signal()
+			for turn != 0 {
+				ping.Wait(p)
+			}
+		}
+	})
+	k.Spawn("pong", func(p *Proc) {
+		for {
+			for turn != 1 {
+				pong.Wait(p)
+			}
+			turn = 0
+			ping.Broadcast()
+		}
+	})
+	k.RunUntil(100) // warm up: arena, heap, waiter queues
+	allocs := testing.AllocsPerRun(100, func() {
+		k.RunUntil(k.Now() + 10)
+	})
+	k.Shutdown()
+	if allocs > 0 {
+		t.Fatalf("Cond handoffs allocated %.1f objects per run in steady state, want 0", allocs)
+	}
+}
+
+// Reusing the waiter queue must not change wake order: Signal wakes the
+// longest waiter and Broadcast wakes the rest first-come first-served, round
+// after round.
+func TestCondWakeOrderStableAcrossReuse(t *testing.T) {
+	k := NewKernel()
+	var c Cond
+	var order []string
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("w%d", i)
+		k.Spawn(name, func(p *Proc) {
+			for round := 0; round < 3; round++ {
+				c.Wait(p)
+				order = append(order, name)
+			}
+		})
+	}
+	k.Spawn("driver", func(p *Proc) {
+		for round := 0; round < 3; round++ {
+			p.Sleep(10)
+			c.Signal()
+			p.Sleep(10)
+			c.Broadcast()
+		}
+	})
+	k.Run()
+	// Round 0 queues w0..w3. Signal wakes w0, which re-queues behind w3;
+	// Broadcast then wakes w1 w2 w3 w0, which re-queue in that order.
+	want := "w0 w1 w2 w3 w0 w1 w2 w3 w0 w1 w2 w3"
+	if got := fmt.Sprint(order); got != "["+want+"]" {
+		t.Fatalf("wake order %v, want [%s]", got, want)
+	}
+}
+
+// A panic in a process body surfaces from Run and RunUntil with its
+// original value. The kernel is left in handler context, so a later
+// Shutdown still unwinds the processes that remain.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	boom := errors.New("boom")
+	for _, bounded := range []bool{false, true} {
+		k := NewKernel()
+		var c Cond
+		k.Spawn("parked", func(p *Proc) { c.Wait(p) })
+		k.Spawn("sleeper", func(p *Proc) { p.Sleep(1000) })
+		k.Spawn("faulty", func(p *Proc) {
+			p.Sleep(5)
+			panic(boom)
+		})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			if bounded {
+				k.RunUntil(100)
+			} else {
+				k.Run()
+			}
+			return nil
+		}()
+		if got != boom {
+			t.Fatalf("bounded=%v: recovered %v, want the body's panic value", bounded, got)
+		}
+		if k.Now() != 5 || k.Live() != 2 {
+			t.Fatalf("bounded=%v: now=%v live=%d after the panic, want 5 and 2", bounded, k.Now(), k.Live())
+		}
+		k.Shutdown()
+		if k.Live() != 0 {
+			t.Fatalf("bounded=%v: Live() = %d after Shutdown, want 0", bounded, k.Live())
+		}
+	}
+}
+
+// Shutdown releases every process goroutine whatever state it was left in —
+// parked on a Cond, sleeping past the deadline, or spawned and never
+// dispatched — across many kernels.
+func TestShutdownManyKernelsReturnsGoroutinesToBaseline(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1200; i++ {
+		k := NewKernel()
+		var c Cond
+		k.Spawn("parked", func(p *Proc) { c.Wait(p) })
+		k.Spawn("sleeping", func(p *Proc) {
+			for {
+				p.Sleep(50)
+			}
+		})
+		k.RunUntil(120)
+		k.Spawn("never-started", func(p *Proc) { t.Error("never-started proc ran") })
+		k.Shutdown()
+		if k.Live() != 0 {
+			t.Fatalf("kernel %d: Live() = %d after Shutdown, want 0", i, k.Live())
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("%d goroutines after 1200 shutdowns, %d before: procs leaked", g, before)
 	}
 }
 
@@ -187,7 +324,7 @@ func TestShutdownBeforeFirstDispatch(t *testing.T) {
 }
 
 // Shutdown from inside the simulation is a programming error and must panic
-// rather than deadlock on the kernel's own channels.
+// rather than unwind the coroutine it is called from.
 func TestShutdownFromInsideSimulationPanics(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("suicidal", func(p *Proc) {
@@ -195,7 +332,7 @@ func TestShutdownFromInsideSimulationPanics(t *testing.T) {
 			if recover() == nil {
 				t.Error("Shutdown from a proc did not panic")
 			}
-			panic(errShutdown) // unwind this goroutine cleanly
+			panic(errShutdown) // unwind this body cleanly
 		}()
 		k.Shutdown()
 	})
@@ -235,7 +372,7 @@ func BenchmarkSleepRoundTrip(b *testing.B) {
 	k.Shutdown()
 }
 
-// A killed proc's goroutine must not keep running past its next yield.
+// A killed proc's body must not keep running past its next yield.
 func TestShutdownStopsProcsMidSleep(t *testing.T) {
 	k := NewKernel()
 	steps := 0

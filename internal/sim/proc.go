@@ -11,20 +11,25 @@ const (
 	procDone
 )
 
-// Proc is a simulated process: a goroutine that executes in virtual time
+// Proc is a simulated process: a coroutine that executes in virtual time
 // under kernel control. All Proc methods must be called from the process's
-// own goroutine while it holds control (i.e. from inside the function passed
-// to Spawn, directly or indirectly).
+// own body while it holds control (i.e. from inside the function passed to
+// Spawn, directly or indirectly).
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	resume chan struct{}
-	state  procState
+	k     *Kernel
+	id    int
+	name  string
+	state procState
 
-	busy   Time  // accumulated AdvanceBusy (compute/CPU-work) time
+	// The coroutine (see start): the kernel resumes the body with next until
+	// it yields or returns; the body parks with yield, which reports false
+	// once Shutdown has called stop.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+
+	busy   Time // accumulated AdvanceBusy (compute/CPU-work) time
 	daemon bool
-	killed bool  // set by Kernel.Shutdown; the next resume unwinds
 	shard  int32 // sharded mode: home shard for this proc's wakeup events
 }
 
@@ -67,16 +72,25 @@ func (p *Proc) checkRunning() {
 	}
 }
 
-// yieldToKernel parks the goroutine and returns control to the kernel loop.
+// yieldToKernel parks the coroutine and returns control to the kernel loop.
 // The caller must have arranged for a future dispatch of p. If the kernel
-// was shut down while the process was parked, the goroutine unwinds via the
-// shutdown sentinel (recovered by the Spawn wrapper).
+// was shut down while the process was parked, the body unwinds via the
+// shutdown sentinel (recovered by exit).
 func (p *Proc) yieldToKernel() {
 	p.state = procBlocked
-	p.k.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(errShutdown)
+	}
+}
+
+// exit is deferred around every process body: it retires the process and
+// swallows the shutdown sentinel. Any other panic propagates out of the
+// dispatching Run or RunUntil with its original value.
+func (p *Proc) exit() {
+	p.state = procDone
+	p.k.live--
+	if r := recover(); r != nil && r != errShutdown {
+		panic(r)
 	}
 }
 
@@ -104,7 +118,7 @@ func (p *Proc) AdvanceBusy(d Time) {
 }
 
 // Yield gives other processes and events scheduled at the current timestamp
-// a chance to run, then resumes.
+// an opportunity to run, then resumes.
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // Cond is a condition variable for simulated processes. It has no associated
@@ -115,7 +129,8 @@ func (p *Proc) Yield() { p.Sleep(0) }
 //	}
 //
 // Signal and Broadcast may be called from any context (another process or an
-// event handler).
+// event handler). The waiter queue keeps its backing array across wakeups,
+// so a steady wait/wake cycle allocates nothing.
 type Cond struct {
 	waiters []*Proc
 }
@@ -133,11 +148,11 @@ func (c *Cond) Broadcast() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
+	for i, w := range c.waiters {
 		w.k.scheduleProc(w.k.now, w)
+		c.waiters[i] = nil
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // Signal wakes the longest-waiting process, if any.
@@ -146,7 +161,9 @@ func (c *Cond) Signal() {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = nil
+	c.waiters = c.waiters[:n]
 	p.k.scheduleProc(p.k.now, p)
 }
 
